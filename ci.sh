@@ -18,7 +18,9 @@ step() {
 }
 
 step cargo build --workspace --release
-step cargo test --workspace -q
+# Bounded so an engine hang fails this step instead of hanging CI (the
+# suite takes ~90 s on a 2-core host).
+step timeout 1800 cargo test --workspace -q
 
 # Sanitizers. The loom model tests exercise the runtime's concurrent
 # structures (ready queue, pending table) and the telemetry SPSC span

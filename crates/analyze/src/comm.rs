@@ -2,7 +2,7 @@
 //!
 //! Each enumerated edge whose producer and consumer live on different
 //! nodes is exactly one runtime message of `bytes` payload — the same
-//! rule all three executors implement — so these sums predict the
+//! rule every executor implements — so these sums predict the
 //! dynamic `obs::names::MESSAGES_SENT` / `BYTES_SENT` counters exactly.
 
 use runtime::UnfoldedDag;

@@ -8,10 +8,8 @@
 //!   simulations are bit-reproducible;
 //! * [`engine`] — a typed event loop ([`Engine`], [`Model`], [`Scheduler`])
 //!   with stable FIFO ordering of simultaneous events;
-//! * [`resource`] — k-server FIFO queues ([`Resource`], [`Gate`]) modelling
-//!   worker cores and NIC engines, with utilization accounting;
-//! * [`stats`] — time-weighted means, sample summaries, histograms;
-//! * [`trace`] — span recording and occupancy analysis (paper Figure 10).
+//! * [`stats`] — time-weighted means ([`TimeWeighted`]), used for
+//!   comm-engine utilization.
 //!
 //! The engine is callback-free and coroutine-free: a model is a state
 //! machine over its own event enum. This keeps the hot loop allocation-light
@@ -42,13 +40,9 @@
 #![deny(missing_docs)]
 
 pub mod engine;
-pub mod resource;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use engine::{Engine, Model, Scheduler};
-pub use resource::{Gate, Resource};
-pub use stats::{percentile_sorted, Pow2Histogram, Summary, TimeWeighted};
+pub use stats::TimeWeighted;
 pub use time::{VirtualDuration, VirtualTime};
-pub use trace::{Span, TraceBuffer};

@@ -1,7 +1,7 @@
 //! Property tests for the discrete-event engine: ordering, determinism,
-//! and resource conservation under arbitrary workloads.
+//! and deadline handling under arbitrary workloads.
 
-use desim::{Engine, Model, Resource, Scheduler, VirtualTime};
+use desim::{Engine, Model, Scheduler, VirtualTime};
 use proptest::prelude::*;
 
 /// A model that records every delivery (time, id).
@@ -72,69 +72,5 @@ proptest! {
         for &(t, _) in late {
             prop_assert!(t > deadline);
         }
-    }
-
-    /// A k-server resource never serves more than k jobs at once, never
-    /// loses a job, and serves queued jobs FIFO.
-    #[test]
-    fn resource_conserves_jobs(
-        servers in 1usize..6,
-        arrivals in proptest::collection::vec((0u64..500, 1u64..50), 1..100),
-    ) {
-        // Sort arrivals by time; drive the resource directly, simulating a
-        // simple event loop by tracking completion times.
-        let mut arr: Vec<(u64, u64)> = arrivals.clone();
-        arr.sort();
-        let mut res: Resource<u64> = Resource::new(servers);
-        // (completion_time, seq) min-heap via sorted Vec
-        let mut in_service: Vec<u64> = Vec::new(); // completion times
-        let mut started = 0u64;
-        let mut completed = 0u64;
-        let total = arr.len() as u64;
-        let mut now = 0u64;
-        let mut queue_order: Vec<u64> = Vec::new(); // durations as identity
-        let mut idx = 0usize;
-        while completed < total {
-            // next event: either an arrival or a completion
-            let next_arrival = arr.get(idx).map(|&(t, _)| t);
-            let next_completion = in_service.iter().min().copied();
-            let (t, is_arrival) = match (next_arrival, next_completion) {
-                (Some(a), Some(c)) if a <= c => (a, true),
-                (Some(_), Some(c)) => (c, false),
-                (Some(a), None) => (a, true),
-                (None, Some(c)) => (c, false),
-                (None, None) => break,
-            };
-            prop_assert!(t >= now);
-            now = t;
-            if is_arrival {
-                let (_, dur) = arr[idx];
-                idx += 1;
-                if let Some(d) = res.request(VirtualTime(now), dur) {
-                    started += 1;
-                    in_service.push(now + d);
-                } else {
-                    queue_order.push(dur);
-                }
-            } else {
-                let pos = in_service
-                    .iter()
-                    .position(|&c| Some(c) == next_completion)
-                    .unwrap();
-                in_service.swap_remove(pos);
-                completed += 1;
-                if let Some(d) = res.release(VirtualTime(now)) {
-                    // FIFO: must be the head of our shadow queue
-                    prop_assert_eq!(d, queue_order.remove(0));
-                    started += 1;
-                    in_service.push(now + d);
-                }
-            }
-            prop_assert!(in_service.len() <= servers);
-            prop_assert_eq!(res.busy(), in_service.len());
-        }
-        prop_assert_eq!(started, total);
-        prop_assert_eq!(completed, total);
-        prop_assert_eq!(res.queued(), 0);
     }
 }

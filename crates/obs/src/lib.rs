@@ -8,7 +8,7 @@
 //!   private lock-free SPSC ring ([`ring`]) that a collector empties into
 //!   a shared store *while the run executes*. Producers stamp spans with
 //!   `u64` nanosecond timestamps from whatever clock they live on —
-//!   [`WallClock`] for the real executors, virtual time for the simulator
+//!   [`WallClock`] for the real executor, virtual time for the simulator
 //!   — so analysis code downstream cannot tell the difference. A full
 //!   ring drops (and counts) rather than blocking, and the tracer's own
 //!   cost is measured ([`TracerOverhead`]).

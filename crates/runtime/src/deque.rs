@@ -1,5 +1,5 @@
 //! A bounded Chase–Lev work-stealing deque: the lock-free per-worker
-//! queue at the heart of the real executors' dispatch loop.
+//! queue at the heart of the real executor's dispatch loop.
 //!
 //! Each worker owns one [`StealDeque`]: it pushes and pops at the
 //! *bottom* end without taking any lock, while thieves (other workers

@@ -1,4 +1,4 @@
-//! The work-stealing dispatch substrate shared by the real executors.
+//! The work-stealing dispatch substrate of the real executor.
 //!
 //! One [`NodeQueues`] per node replaces the old central
 //! `Mutex<ReadyQueue>` + token channel: each worker lane owns a local

@@ -13,12 +13,12 @@
 //! let report = runtime::run(
 //!     &program,
 //!     &RunConfig::simulated(MachineProfile::nacl(), 4)
-//!         .with_policy(SchedulerPolicy::Priority)
+//!         .with_scheduler(SchedulerPolicy::Priority)
 //!         .with_trace(),
 //! );
 //! ```
 //!
-//! All three engines feed the same observability layer (the `obs` crate):
+//! Both engines feed the same observability layer (the `obs` crate):
 //! every run records task/communication spans into a low-overhead
 //! per-thread ring recorder and counts runtime events in a metric
 //! registry, so a [`RunReport`] always carries per-node occupancy and a
@@ -26,7 +26,7 @@
 //! full span [`Trace`] ready for Chrome/Perfetto export via
 //! `obs::chrome::to_chrome_json`.
 
-use crate::scheduler::{SchedulerHandle, SchedulerPolicy};
+use crate::scheduler::SchedulerHandle;
 use crate::task::Program;
 use machine::MachineProfile;
 use obs::{Live, LiveSample, Metrics, MetricsSnapshot, Recorder, Trace, TracerOverhead};
@@ -34,12 +34,11 @@ use obs::{Live, LiveSample, Metrics, MetricsSnapshot, Recorder, Trace, TracerOve
 /// Which engine executes the program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Real threads in one address space, wall-clock time
-    /// (the paper's single-node runs).
-    SharedMemory,
-    /// One thread pool per node plus a comm thread per node, real
-    /// channel-borne messages, wall-clock time.
-    MultiProcess,
+    /// Real threads and real task bodies on the wall clock: one worker
+    /// pool per node, plus one comm thread per node carrying cross-node
+    /// flows over channels when there is more than one node (see
+    /// [`crate::real_exec`]).
+    Real,
     /// Virtual-time simulation of the whole cluster over a machine
     /// profile and network model.
     Simulated,
@@ -53,12 +52,13 @@ pub struct RunConfig {
     /// Worker threads per node (ignored by [`ExecMode::Simulated`], whose
     /// lane count comes from the machine profile).
     pub threads: usize,
-    /// Number of nodes; every task's `node_of` must map below this.
+    /// Number of nodes; every task's `node_of` must map below this. A
+    /// one-node real run ignores placement and runs every task on node 0.
     pub nodes: u32,
     /// Machine profile (required for [`ExecMode::Simulated`]).
     pub profile: Option<MachineProfile>,
     /// Execute task bodies in the simulator (always true on the real
-    /// engines).
+    /// engine).
     pub execute_bodies: bool,
     /// Attach the full span [`Trace`] to the report.
     pub capture_trace: bool,
@@ -70,7 +70,7 @@ pub struct RunConfig {
     /// Human-readable names for application span kinds, for exporters.
     pub kind_names: Vec<(u32, String)>,
     /// Live-sampler cadence in nanoseconds on the engine's clock
-    /// (wall-clock for the real engines, virtual for the simulator).
+    /// (wall-clock for the real engine, virtual for the simulator).
     /// `None` disables sampling unless a [`RunConfig::with_live`] board
     /// is attached, which turns it on at
     /// [`RunConfig::DEFAULT_SAMPLE_PERIOD_NS`].
@@ -80,7 +80,7 @@ pub struct RunConfig {
     /// run. When sampling is on without a board, the engine creates a
     /// private one and the samples still land in the report.
     pub live: Option<Live>,
-    /// Seed for the real engines' work-stealing victim order (ignored by
+    /// Seed for the real engine's work-stealing victim order (ignored by
     /// the simulator). A fixed seed reproduces the same per-worker
     /// victim sequence run over run — the "seed-stable" half of the
     /// determinism contract in `docs/EXECUTOR.md`.
@@ -93,30 +93,19 @@ pub struct RunConfig {
 }
 
 impl RunConfig {
-    /// Shared-memory run on `threads` workers (one node, no network).
+    /// Shared-memory run on `threads` workers: the one-node spelling of
+    /// [`RunConfig::multi_process`]`(1, threads)`. Every task runs on
+    /// node 0 whatever its declared placement, and there is no network.
     pub fn shared_memory(threads: usize) -> Self {
-        RunConfig {
-            mode: ExecMode::SharedMemory,
-            threads,
-            nodes: 1,
-            profile: None,
-            execute_bodies: true,
-            capture_trace: false,
-            scheduler: SchedulerHandle::default(),
-            comm_engines: 1,
-            kind_names: Vec::new(),
-            sample_period_ns: None,
-            live: None,
-            steal_seed: Self::DEFAULT_STEAL_SEED,
-            ring_capacity: None,
-        }
+        Self::multi_process(1, threads)
     }
 
-    /// Multi-process-semantics run: `nodes` pools of `threads_per_node`
-    /// workers, plus one comm thread per node.
+    /// Real run with multi-process semantics: `nodes` pools of
+    /// `threads_per_node` workers, plus one comm thread per node when
+    /// `nodes > 1`.
     pub fn multi_process(nodes: u32, threads_per_node: usize) -> Self {
         RunConfig {
-            mode: ExecMode::MultiProcess,
+            mode: ExecMode::Real,
             threads: threads_per_node,
             nodes,
             profile: None,
@@ -156,7 +145,7 @@ impl RunConfig {
     /// are seed-stable out of the box.
     pub const DEFAULT_STEAL_SEED: u64 = 0xCA5C_ADE5_7EA1;
 
-    /// Seed the real engines' steal-victim order (see
+    /// Seed the real engine's steal-victim order (see
     /// [`RunConfig::steal_seed`]).
     pub fn with_steal_seed(mut self, seed: u64) -> Self {
         self.steal_seed = seed;
@@ -169,15 +158,9 @@ impl RunConfig {
         self
     }
 
-    /// Select one of the classic queue disciplines (compatibility shim
-    /// over [`RunConfig::with_scheduler`]).
-    pub fn with_policy(self, policy: SchedulerPolicy) -> Self {
-        self.with_scheduler(policy)
-    }
-
     /// Select the scheduling policy: any [`crate::Scheduler`]
     /// implementation, an existing [`SchedulerHandle`], or a plain
-    /// [`SchedulerPolicy`] variant. Every engine consults the resulting
+    /// [`crate::SchedulerPolicy`] variant. Every engine consults the resulting
     /// selector for task selection (and placement, when it overrides
     /// owner-computes).
     pub fn with_scheduler(mut self, scheduler: impl Into<SchedulerHandle>) -> Self {
@@ -229,7 +212,7 @@ impl RunConfig {
     }
 
     /// Enable live sampling at `period_ns` on the engine's clock
-    /// (wall-clock nanoseconds for the real engines, virtual nanoseconds
+    /// (wall-clock nanoseconds for the real engine, virtual nanoseconds
     /// for the simulator). Samples land in [`RunReport::samples`].
     pub fn with_sampling(mut self, period_ns: u64) -> Self {
         self.sample_period_ns = Some(period_ns.max(1));
@@ -279,14 +262,12 @@ impl RunConfig {
 /// Mode-specific extension of a [`RunReport`].
 #[derive(Debug, Clone)]
 pub enum ModeExt {
-    /// Shared-memory extras.
-    SharedMemory {
-        /// Total flows delivered between tasks.
+    /// Real-engine extras.
+    Real {
+        /// Total flows delivered between tasks, local and cross-node.
         flows_delivered: u64,
-    },
-    /// Multi-process extras.
-    MultiProcess {
-        /// Flows that crossed between nodes (through the comm threads).
+        /// Flows that crossed between nodes through the comm threads
+        /// (always 0 on one node).
         cross_node_flows: u64,
     },
     /// Simulator extras.
@@ -313,7 +294,7 @@ pub struct RunReport {
     pub scheduler: String,
     /// Tasks executed (equals the program's `total_tasks` on success).
     pub tasks_executed: u64,
-    /// End-to-end time in seconds: wall-clock for the real engines,
+    /// End-to-end time in seconds: wall-clock for the real engine,
     /// virtual time of the last task completion for the simulator.
     pub makespan: f64,
     /// Per-node worker-lane occupancy in `[0, 1]` over the makespan,
@@ -340,22 +321,23 @@ impl RunReport {
         self.metrics.counter(name)
     }
 
-    /// Flows delivered between tasks, when the mode tracks them
-    /// (shared memory only).
+    /// Flows delivered between tasks (real engine only).
     pub fn flows_delivered(&self) -> Option<u64> {
         match self.ext {
-            ModeExt::SharedMemory { flows_delivered } => Some(flows_delivered),
+            ModeExt::Real {
+                flows_delivered, ..
+            } => Some(flows_delivered),
             _ => None,
         }
     }
 
     /// Messages that crossed between nodes: network messages for the
-    /// simulator, comm-thread flows for multi-process, 0 for shared
-    /// memory.
+    /// simulator, comm-thread flows for the real engine (0 on one node).
     pub fn remote_messages(&self) -> u64 {
         match self.ext {
-            ModeExt::SharedMemory { .. } => 0,
-            ModeExt::MultiProcess { cross_node_flows } => cross_node_flows,
+            ModeExt::Real {
+                cross_node_flows, ..
+            } => cross_node_flows,
             ModeExt::Simulated {
                 remote_messages, ..
             } => remote_messages,
@@ -363,7 +345,7 @@ impl RunReport {
     }
 
     /// Bytes that crossed between nodes (simulator's network bytes; the
-    /// metric counter for the other modes).
+    /// metric counter for the real engine).
     pub fn remote_bytes(&self) -> u64 {
         match self.ext {
             ModeExt::Simulated { remote_bytes, .. } => remote_bytes,
@@ -380,7 +362,7 @@ impl RunReport {
     }
 
     /// Per-node communication-engine utilization over the makespan
-    /// (simulator only; empty for the real engines).
+    /// (simulator only; empty for the real engine).
     pub fn comm_utilization(&self) -> &[f64] {
         match &self.ext {
             ModeExt::Simulated {
@@ -394,8 +376,8 @@ impl RunReport {
 /// Assemble the uniform part of a [`RunReport`] from a finished run's
 /// recorder and metrics. `horizon_ns` is the makespan on the engine's
 /// clock; occupancy counts `lanes` worker lanes per node over it.
-/// One parameter per report ingredient — the three engines each hold
-/// these as locals, so a params struct would only move the arity around.
+/// One parameter per report ingredient — both engines hold these as
+/// locals, so a params struct would only move the arity around.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn assemble_report(
     cfg: &RunConfig,
@@ -431,64 +413,12 @@ pub(crate) fn assemble_report(
     }
 }
 
-/// An engine that can execute a [`Program`] under a [`RunConfig`].
-///
-/// The three engines are exposed as unit structs so code can be generic
-/// over "something that runs programs"; most callers just use [`run`].
-pub trait Executor {
-    /// The mode this engine implements.
-    fn mode(&self) -> ExecMode;
-
-    /// Run `program` to completion and report.
-    fn execute(&self, program: &Program, cfg: &RunConfig) -> RunReport;
-}
-
-/// The shared-memory engine (see [`crate::real_exec`]).
-pub struct SharedMemoryExecutor;
-
-impl Executor for SharedMemoryExecutor {
-    fn mode(&self) -> ExecMode {
-        ExecMode::SharedMemory
-    }
-
-    fn execute(&self, program: &Program, cfg: &RunConfig) -> RunReport {
-        crate::real_exec::execute(program, cfg)
-    }
-}
-
-/// The multi-process-semantics engine (see [`crate::mp_exec`]).
-pub struct MultiProcessExecutor;
-
-impl Executor for MultiProcessExecutor {
-    fn mode(&self) -> ExecMode {
-        ExecMode::MultiProcess
-    }
-
-    fn execute(&self, program: &Program, cfg: &RunConfig) -> RunReport {
-        crate::mp_exec::execute(program, cfg)
-    }
-}
-
-/// The virtual-time engine (see [`crate::sim_exec`]).
-pub struct SimulatedExecutor;
-
-impl Executor for SimulatedExecutor {
-    fn mode(&self) -> ExecMode {
-        ExecMode::Simulated
-    }
-
-    fn execute(&self, program: &Program, cfg: &RunConfig) -> RunReport {
-        crate::sim_exec::execute(program, cfg)
-    }
-}
-
 /// Run `program` on the engine selected by `cfg.mode`. The single entry
 /// point every caller should use.
 pub fn run(program: &Program, cfg: &RunConfig) -> RunReport {
     match cfg.mode {
-        ExecMode::SharedMemory => SharedMemoryExecutor.execute(program, cfg),
-        ExecMode::MultiProcess => MultiProcessExecutor.execute(program, cfg),
-        ExecMode::Simulated => SimulatedExecutor.execute(program, cfg),
+        ExecMode::Real => crate::real_exec::execute(program, cfg),
+        ExecMode::Simulated => crate::sim_exec::execute(program, cfg),
     }
 }
 
@@ -538,12 +468,8 @@ mod tests {
         let sent = r.counter(names::MESSAGES_SENT);
         assert!(sent >= 6, "cross flows: {sent}");
         assert!(r.counter(names::BYTES_SENT) >= sent);
-        match r.ext {
-            ModeExt::MultiProcess { cross_node_flows } => {
-                assert_eq!(cross_node_flows, sent)
-            }
-            ref other => panic!("wrong ext {other:?}"),
-        }
+        assert_eq!(r.remote_messages(), sent);
+        assert_eq!(r.flows_delivered(), Some(12), "6 + 6 diamond edges");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!
 //! * [`PendingTable`] — the single-threaded table (the simulator's, and
 //!   the unit under every invariant test);
-//! * [`ShardedPending`] — the real executors' concurrent wrapper: the
+//! * [`ShardedPending`] — the real executor's concurrent wrapper: the
 //!   key space is split across power-of-two lock shards by task-key
 //!   hash, and [`ShardedPending::deliver_batch`] delivers *all* of a
 //!   completing task's output flows with one lock acquisition per
@@ -176,7 +176,7 @@ pub struct Delivery {
     pub data: FlowData,
 }
 
-/// The concurrent activation table of the real executors: a
+/// The concurrent activation table of the real executor: a
 /// [`PendingTable`] per lock shard, shard chosen by task-key hash.
 ///
 /// Invariants (each inherited per shard from [`PendingTable`], which the

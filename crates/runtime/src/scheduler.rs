@@ -20,9 +20,9 @@
 //!   clocks, no randomness — which is what keeps simulated runs
 //!   bit-identical under a fixed configuration.
 //!
-//! The old [`SchedulerPolicy`] enum survives as a thin compatibility shim:
-//! it implements [`Scheduler`] itself, so `with_policy(SchedulerPolicy::
-//! Priority)` still works and existing call sites compile unchanged.
+//! [`SchedulerPolicy`] is the FIFO/LIFO/priority queue discipline: it
+//! implements [`Scheduler`] itself, so
+//! `with_scheduler(SchedulerPolicy::Priority)` selects it directly.
 //!
 //! # The list-scheduler portfolio
 //!
@@ -49,7 +49,7 @@
 //!
 //! # Schedulers and the work-stealing executors
 //!
-//! The real executors dispatch through per-worker lock-free deques (see
+//! The real executor dispatches through per-worker lock-free deques (see
 //! `docs/EXECUTOR.md`), which changes *where* each [`SelectMode`] is
 //! enforced but not *what* it promises:
 //!
@@ -62,7 +62,7 @@
 //!   thieves lock it to steal the victim's best-ranked task.
 //!
 //! Determinism splits accordingly: the simulator remains **bit-identical**
-//! under a fixed config, while the real engines are **seed-stable** — the
+//! under a fixed config, while the real engine is **seed-stable** — the
 //! steal victim order is a pure function of
 //! [`crate::RunConfig::with_steal_seed`], but OS thread timing still
 //! decides which worker wins a race, so only per-lane order (not the
@@ -92,7 +92,7 @@ pub enum SelectMode {
 /// Everything a [`Scheduler`] may consult when instantiating its per-run
 /// [`TaskSelector`]: the program (whose DAG it can unfold for static
 /// ranks), the machine profile when the engine has one (the simulator
-/// always does; the real engines run unmodeled), and the cluster shape.
+/// always does; the real engine runs unmodeled), and the cluster shape.
 #[derive(Clone, Copy)]
 pub struct SchedContext<'a> {
     /// The program about to run.
@@ -183,7 +183,7 @@ impl SchedulerHandle {
     }
 
     /// Every built-in scheduler, in a stable order: the three
-    /// [`SchedulerPolicy`] shims first, then the static list schedulers.
+    /// [`SchedulerPolicy`] disciplines first, then the static list schedulers.
     /// This is the lineup the `stencil-tournament` bench runs.
     pub fn portfolio() -> Vec<SchedulerHandle> {
         vec![
@@ -222,11 +222,9 @@ impl<S: Scheduler + 'static> From<S> for SchedulerHandle {
     }
 }
 
-/// Ready-queue discipline of the node-local scheduler — the original
-/// closed policy set, kept as a compatibility shim over the [`Scheduler`]
-/// trait (it implements the trait itself, so
-/// [`crate::RunConfig::with_policy`] and
-/// [`crate::RunConfig::with_scheduler`] accept it interchangeably).
+/// Ready-queue discipline of the node-local scheduler: FIFO, LIFO or
+/// priority order. It implements the [`Scheduler`] trait itself, so
+/// [`crate::RunConfig::with_scheduler`] accepts it directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum SchedulerPolicy {
     /// Oldest ready task first (default; matches the real executor).
@@ -337,7 +335,7 @@ impl TaskSelector for StaticRanks {
 /// free when producer and consumer share a node, otherwise send
 /// processing + wire time + receive processing — the same latency the
 /// simulated executor pays for a remote flow. Without a machine profile
-/// (the real engines) every edge is free and ranks degrade to
+/// (the real engine) every edge is free and ranks degrade to
 /// communication-free levels.
 struct EdgeDelay {
     net: Option<(NetworkModel, f64)>,

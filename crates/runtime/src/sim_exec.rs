@@ -24,7 +24,7 @@
 use crate::exec::{assemble_report, ExecMode, ModeExt, RunConfig, RunReport};
 use crate::pending::{PendingTable, ReadyTask};
 use crate::ready_queue::ReadyQueue;
-use crate::scheduler::{SchedContext, SchedulerHandle, TaskSelector};
+use crate::scheduler::{SchedContext, TaskSelector};
 use crate::task::{FlowData, Program, TaskKey};
 use desim::{Engine, Model, Scheduler, TimeWeighted, VirtualDuration, VirtualTime};
 use machine::MachineProfile;
@@ -33,76 +33,9 @@ use obs::{lane_busy_in_window, names, Live, LiveSample, LocalRecorder, Metrics, 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-// The policy enum historically lived here; it now sits with the rest of
-// the scheduling surface.
-pub use crate::scheduler::SchedulerPolicy;
-
 /// Trace kind used for communication-engine spans (task kinds are
 /// application-defined and small). Equals [`obs::KIND_COMM`].
 pub const KIND_COMM: u32 = obs::KIND_COMM;
-
-/// Configuration of one simulated run, builder-style like
-/// [`crate::exec::RunConfig`]: a constructor fixes the cluster, `with_*`
-/// methods refine the run and chain.
-#[derive(Debug, Clone)]
-pub struct SimConfig {
-    /// The machine whose nodes and network are simulated.
-    pub profile: MachineProfile,
-    /// Number of nodes; every task's `node_of` must map below this.
-    pub nodes: u32,
-    /// Execute task bodies (verifies numerics) or skip them (performance
-    /// only).
-    pub execute_bodies: bool,
-    /// The scheduling policy (see [`crate::scheduler`]).
-    pub scheduler: SchedulerHandle,
-    /// Parallel send engines per node (1 = the paper's single dedicated
-    /// communication thread).
-    pub comm_engines: usize,
-}
-
-impl SimConfig {
-    /// The paper's configuration on `nodes` nodes of `profile`.
-    pub fn new(profile: MachineProfile, nodes: u32) -> Self {
-        SimConfig {
-            profile,
-            nodes,
-            execute_bodies: false,
-            scheduler: SchedulerHandle::default(),
-            comm_engines: 1,
-        }
-    }
-
-    /// Replace the machine profile.
-    pub fn with_profile(mut self, profile: MachineProfile) -> Self {
-        self.profile = profile;
-        self
-    }
-
-    /// Enable body execution.
-    pub fn with_bodies(mut self) -> Self {
-        self.execute_bodies = true;
-        self
-    }
-
-    /// Select one of the classic queue disciplines (compatibility shim
-    /// over [`SimConfig::with_scheduler`]).
-    pub fn with_policy(self, policy: SchedulerPolicy) -> Self {
-        self.with_scheduler(policy)
-    }
-
-    /// Select the scheduling policy: any [`crate::Scheduler`], an existing
-    /// [`SchedulerHandle`], or a plain [`SchedulerPolicy`] variant.
-    pub fn with_scheduler(mut self, scheduler: impl Into<SchedulerHandle>) -> Self {
-        self.scheduler = scheduler.into();
-        self
-    }
-
-    /// Use `n` parallel send engines per node.
-    pub fn with_comm_engines(mut self, n: usize) -> Self {
-        self.comm_engines = n;
-        self
-    }
-}
 
 /// Work item for a node's communication engine. Both directions cost
 /// `runtime_msg_cost` of comm-thread time: PaRSEC's dedicated communication
@@ -190,7 +123,8 @@ enum Ev {
 
 struct Sim {
     program: Arc<Program>,
-    cfg: SimConfig,
+    cfg: RunConfig,
+    profile: MachineProfile,
     selector: Arc<dyn TaskSelector>,
     net: NetworkModel,
     lanes_per_node: u32,
@@ -296,7 +230,7 @@ impl Sim {
 
     /// Start queued comm jobs while engines are free.
     fn pump_comm(&mut self, node: u32, now: VirtualTime, sched: &mut Scheduler<Ev>) {
-        let msg_cost = self.cfg.profile.runtime_msg_cost;
+        let msg_cost = self.profile.runtime_msg_cost;
         loop {
             let st = &mut self.nodes[node as usize];
             if st.comm_active >= self.cfg.comm_engines || st.comm_queue.is_empty() {
@@ -610,23 +544,23 @@ struct SimOutcome {
 /// debug the graph.
 fn simulate(
     program: &Program,
-    cfg: &SimConfig,
+    cfg: &RunConfig,
+    profile: MachineProfile,
     recorder: &Recorder,
     metrics: &Metrics,
     live: Option<Live>,
-    sample_period_ns: Option<u64>,
 ) -> SimOutcome {
     assert!(cfg.nodes >= 1, "need at least one node");
     assert!(cfg.comm_engines >= 1, "need at least one comm engine");
     assert!(program.total_tasks > 0, "empty program");
 
-    let lanes = cfg.profile.compute_threads();
-    let net = NetworkModel::from_profile(&cfg.profile);
+    let lanes = profile.compute_threads();
+    let net = NetworkModel::from_profile(&profile);
     // Instantiate the per-run selector before any event fires: this is
     // where a list scheduler unfolds the DAG and computes static ranks.
     let selector = cfg.scheduler.instance(&SchedContext {
         program,
-        profile: Some(&cfg.profile),
+        profile: Some(&profile),
         nodes: cfg.nodes,
         lanes,
     });
@@ -651,6 +585,7 @@ fn simulate(
     let sim = Sim {
         program: Arc::clone(&program),
         cfg: cfg.clone(),
+        profile,
         selector,
         net,
         lanes_per_node: lanes,
@@ -667,7 +602,9 @@ fn simulate(
         recorder: recorder.clone(),
         inflight: InFlight::new(),
         live,
-        sample_period: sample_period_ns.map(|ns| VirtualDuration::from_nanos(ns.max(1))),
+        sample_period: cfg
+            .sample_period()
+            .map(|ns| VirtualDuration::from_nanos(ns.max(1))),
         last_sample: VirtualTime::ZERO,
         records_since_collect: 0,
     };
@@ -677,7 +614,7 @@ fn simulate(
         let ready = PendingTable::root(&program.graph, root);
         engine.prime(Ev::Ready(ready));
     }
-    if sample_period_ns.is_some() {
+    if cfg.sample_period().is_some() {
         engine.prime(Ev::Sample);
     }
     engine.run();
@@ -727,24 +664,10 @@ pub(crate) fn execute(program: &Program, cfg: &RunConfig) -> RunReport {
         .clone()
         .expect("simulated mode requires a machine profile");
     let lanes = profile.compute_threads();
-    let sim_cfg = SimConfig {
-        profile,
-        nodes: cfg.nodes,
-        execute_bodies: cfg.execute_bodies,
-        scheduler: cfg.scheduler.clone(),
-        comm_engines: cfg.comm_engines,
-    };
     let recorder = cfg.recorder();
     let metrics = Metrics::new();
     let live = cfg.live_board();
-    let outcome = simulate(
-        program,
-        &sim_cfg,
-        &recorder,
-        &metrics,
-        live.clone(),
-        cfg.sample_period(),
-    );
+    let outcome = simulate(program, cfg, profile, &recorder, &metrics, live.clone());
     metrics.counter(names::ACTIVATIONS).add(outcome.activations);
     let samples = live.map(|l| l.history()).unwrap_or_default();
 
@@ -965,8 +888,8 @@ mod tests {
     fn lifo_and_fifo_both_complete() {
         let roots: Vec<i32> = (0..40).collect();
         let p = program(&[], &[], &[], &roots, 40, 1e-4, 8);
-        for policy in [SchedulerPolicy::Fifo, SchedulerPolicy::Lifo] {
-            let r = run(&p, &cfg(1).with_policy(policy));
+        for policy in [crate::SchedulerPolicy::Fifo, crate::SchedulerPolicy::Lifo] {
+            let r = run(&p, &cfg(1).with_scheduler(policy));
             assert_eq!(r.tasks_executed, 40);
         }
     }

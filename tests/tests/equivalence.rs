@@ -60,7 +60,7 @@ fn scheduler_policies_do_not_change_numerics() {
             &c.program,
             &RunConfig::simulated(MachineProfile::nacl(), 4)
                 .with_bodies()
-                .with_policy(policy),
+                .with_scheduler(policy),
         );
         assert_eq!(
             max_abs_diff(&c.store.unwrap().gather(), &reference),

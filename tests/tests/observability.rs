@@ -82,7 +82,7 @@ fn all_executors_agree_on_base_stencil_spans() {
         assert_eq!(task_spans(r), 64, "one task span per task in {:?}", r.mode);
     }
 
-    // per-kind task-span counts agree across all three engines
+    // per-kind task-span counts agree across all three runs
     let kind_counts = |r: &RunReport| {
         let mut counts: Vec<(u32, usize)> = r
             .trace
